@@ -95,9 +95,8 @@ def main() -> int:
         result = io.read_frames(frames_path)
         series = O.measured_series(result)
         mask = ~np.isnan(series["v_out"]) & (np.nan_to_num(series["v_out"]) > 0)
-        q = tables.interp_many(series["theta"][mask], series["vol"][mask])
-        pred = np.maximum(F._features(q["dh"], series["theta"][mask])
-                          @ coeffs.as_array(), 0.0)
+        pred = F.outflow_speed(coeffs, series["theta"][mask],
+                               series["vol"][mask], tables)
         gt = series["v_out"][mask]
         rel = np.sqrt(np.mean((pred - gt) ** 2)) / np.sqrt(np.mean(gt ** 2))
         print(f"{os.path.basename(frames_path)}: {int(mask.sum())} points, "

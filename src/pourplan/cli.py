@@ -21,10 +21,10 @@ from . import fileio as io
 from . import oracle as oc
 from . import planner as pl
 from . import robot as rb
-from .fluid import (FluidState, OutflowCoeffs, fit_coefficients, rollout,
-                    bernoulli_speed, _features)
-from .geometry import GeomTables, build_tables, lookup
-from .oracle import MotionSchedule, SimConfig, SimScene
+from .fluid import (FluidState, bernoulli_speed, fit_coefficients,
+                    outflow_speed, rollout)
+from .geometry import GeomTables, build_tables
+from .oracle import MotionSchedule, SimConfig
 from .planner import SolverSettings
 
 ENV_SETTINGS = "POURPLAN_SETTINGS"
@@ -75,7 +75,7 @@ def cmd_simulate(args, outputs):
     io.write_manifest(_manifest_path(args.out), "simulate",
                       {"profile": args.profile, "motion": args.motion},
                       outputs,
-                      {**io._simconfig_to_dict(cfg),
+                      {**io.simconfig_to_dict(cfg),
                        "fill_fraction": args.fill_fraction,
                        "n_particles": result.n_particles,
                        "vol0_m3": result.vol0},
@@ -149,6 +149,9 @@ def cmd_predict(args, outputs):
     t, thetas = _thetas_from_csv(args.trajectory, args.robot)
     if len(t) < 2:
         raise StageError("predict", "need at least two trajectory samples")
+    if np.any(np.diff(t) <= 0):
+        raise StageError("predict",
+                         "trajectory times must be strictly increasing")
     coeffs, cdoc = io.read_coeffs(args.coeffs)
     tables = GeomTables.load(args.tables)
     if cdoc.get("container_id") not in (None, tables.container_id):
@@ -159,13 +162,8 @@ def cmd_predict(args, outputs):
     dt = float(t[1] - t[0])
     traj = rollout(FluidState(vol=args.vol0), thetas, dt, tables, coeffs)
     outputs.append(args.out)
-    import csv as _csv
-    with open(args.out, "w", newline="") as f:
-        w = _csv.writer(f)
-        w.writerow(["t_s", "theta_rad", "vol_m3", "v_out_m_per_s"])
-        for i in range(len(t)):
-            w.writerow([io._fnum(t[i]), io._fnum(thetas[i]),
-                        io._fnum(traj.vol[i]), io._fnum(traj.v_out[i])])
+    io.write_columns(args.out, io.PREDICTION_HEADER,
+                     [t, thetas, traj.vol, traj.v_out])
     io.write_manifest(_manifest_path(args.out), "predict",
                       {"trajectory": args.trajectory, "coeffs": args.coeffs,
                        "tables": args.tables},
@@ -183,7 +181,7 @@ def cmd_plan(args, outputs):
         else SolverSettings()
     traj, fluid, report = pl.plan(problem, settings)
     kin = pl.kinematics_along(problem.chain, traj.Q)
-    landings = _landings(problem, traj, fluid, kin)
+    landings = pl.landing_along(problem, kin, fluid).point
     outputs.append(args.out)
     io.write_trajectory(args.out, traj, fluid, kin, landings)
     report_path = args.report or (os.path.splitext(args.out)[0] + ".report.json")
@@ -200,24 +198,6 @@ def cmd_plan(args, outputs):
         print("warning: planner did not converge; best iterate written",
               file=sys.stderr)
     return 0
-
-
-def _landings(problem, traj, fluid, kin):
-    from .fluid import QuadraticCurve, azimuth_rotation, \
-        outflow_direction_local, time_to_altitude
-    out = []
-    thetas = np.array([k.theta for k in kin])
-    tq = problem.tables.interp_many(thetas, fluid.vol)
-    for i, k in enumerate(kin):
-        rot = azimuth_rotation(k.phi)
-        e_tilt = np.array([float(tq["ex"][i]), 0.0, float(tq["ez"][i])])
-        V = float(fluid.v_out[i]) * (rot @ outflow_direction_local(k.theta))
-        E = k.pos + rot @ e_tilt
-        curve = QuadraticCurve(gravity=pl.GRAV_VEC, v_out=V, origin=E)
-        t_hit = time_to_altitude(curve, problem.world.o_t)
-        out.append(curve.position(t_hit) if t_hit is not None
-                   else np.full(3, np.nan))
-    return out
 
 
 def cmd_validate(args, outputs):
@@ -270,15 +250,11 @@ def cmd_validate(args, outputs):
     q = oc.quality(result)
 
     outputs.append(args.out)
-    import csv as _csv
-    with open(args.out, "w", newline="") as f:
-        w = _csv.writer(f)
-        w.writerow(["t_s", "n_source", "n_free", "n_target", "frac_target"])
-        n = result.n_particles
-        for i, ps in enumerate(result.frames):
-            counts = [int((ps.stage == s).sum()) for s in (0, 1, 2)]
-            w.writerow([io._fnum(result.times[i]), counts[0], counts[1],
-                        counts[2], io._fnum(counts[2] / n)])
+    counts = np.array([[(ps.stage == s).sum() for s in (0, 1, 2)]
+                       for ps in result.frames])
+    io.write_columns(args.out, io.CATCH_HEADER,
+                     [result.times, *counts.T,
+                      counts[:, 2] / result.n_particles])
     io.write_manifest(_manifest_path(args.out), "validate",
                       {"problem": args.problem, "trajectory": args.trajectory,
                        "profile": args.profile},
@@ -294,26 +270,14 @@ def cmd_validate(args, outputs):
 def cmd_report(args, outputs):
     tables = GeomTables.load(args.tables)
     coeffs, _ = io.read_coeffs(args.coeffs)
-    import csv as _csv
     if args.frames:
         result = io.read_frames(args.frames)
         series = oc.measured_series(result)
-        mask = np.ones(len(series["t"]), dtype=bool)
-        th = series["theta"]
-        q = tables.interp_many(th, series["vol"])
-        g_model = np.maximum(_features(q["dh"], th) @ coeffs.as_array(), 0.0)
+        th, dh = series["theta"], series["dh"]
         outputs.append(args.out)
-        with open(args.out, "w", newline="") as f:
-            w = _csv.writer(f)
-            w.writerow(["t_s", "v_out_meas_m_per_s", "bernoulli_m_per_s",
-                        "theta_rad", "dh_meas_m", "g_model_m_per_s"])
-            for i in range(len(series["t"])):
-                v = series["v_out"][i]
-                w.writerow([io._fnum(series["t"][i]),
-                            "" if np.isnan(v) else io._fnum(v),
-                            io._fnum(bernoulli_speed(max(series["dh"][i], 0.0))),
-                            io._fnum(th[i]), io._fnum(series["dh"][i]),
-                            io._fnum(g_model[i])])
+        io.write_columns(args.out, io.MEASURED_TRACE_HEADER,
+                         [series["t"], series["v_out"], _bernoulli(dh), th, dh,
+                          outflow_speed(coeffs, th, series["vol"], tables)])
         mode = "measured"
         inputs = {"frames": args.frames}
     elif args.motion:
@@ -323,17 +287,10 @@ def cmd_report(args, outputs):
         thetas = np.interp(t, motion.t, motion.theta)
         traj = rollout(FluidState(vol=args.vol0), thetas, float(t[1] - t[0]),
                        tables, coeffs)
-        q = tables.interp_many(thetas, traj.vol)
+        dh = tables.interp_many(thetas, traj.vol)["dh"]
         outputs.append(args.out)
-        with open(args.out, "w", newline="") as f:
-            w = _csv.writer(f)
-            w.writerow(["t_s", "v_out_model_m_per_s", "bernoulli_m_per_s",
-                        "theta_rad", "dh_table_m", "vol_m3"])
-            for i in range(n):
-                w.writerow([io._fnum(t[i]), io._fnum(traj.v_out[i]),
-                            io._fnum(bernoulli_speed(max(float(q["dh"][i]), 0.0))),
-                            io._fnum(thetas[i]), io._fnum(float(q["dh"][i])),
-                            io._fnum(traj.vol[i])])
+        io.write_columns(args.out, io.ROLLOUT_TRACE_HEADER,
+                         [t, traj.v_out, _bernoulli(dh), thetas, dh, traj.vol])
         mode = "rollout"
         inputs = {"motion": args.motion}
     else:
@@ -343,6 +300,11 @@ def cmd_report(args, outputs):
                       outputs, {"mode": mode}, args.t_begin)
     outputs.append(_manifest_path(args.out))
     return 0
+
+
+def _bernoulli(dh) -> np.ndarray:
+    """Head-driven speed per sample, with negative heads read as zero."""
+    return np.array([bernoulli_speed(max(float(d), 0.0)) for d in dh])
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -9,7 +9,7 @@ pairs inside the query margin carry their separation as negative d.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -274,7 +274,7 @@ def _box_box(sa, pa, sb, pb):
     best_overlap, best_axis = np.inf, None
     separated = False
     for ax in axes:
-        ra = float(np.abs(ha @ (Ra.T @ ax)).sum()) if False else float(np.sum(np.abs(ax @ Ra) * ha))
+        ra = float(np.sum(np.abs(ax @ Ra) * ha))
         rb = float(np.sum(np.abs(ax @ Rb) * hb))
         dist = float(abs(ax @ center_delta))
         overlap = ra + rb - dist

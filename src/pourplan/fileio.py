@@ -15,7 +15,7 @@ import math
 import os
 import platform
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy
@@ -23,7 +23,7 @@ import scipy
 from . import __version__
 from . import collision as coll
 from . import robot as rb
-from .fluid import FluidState, FluidTrajectory, OutflowCoeffs, TrainingSample
+from .fluid import FluidState, OutflowCoeffs, TrainingSample
 from .geometry import ContainerProfile, GeomTables, load_profile, profile_to_dict
 from .oracle import MotionSchedule, ParticleSet, SimConfig, SimResult, SimScene
 from .planner import PlanningProblem, SolverSettings, WorldModel
@@ -162,7 +162,7 @@ def write_frames(path, result: SimResult) -> None:
         stage=stage,
         vol0=np.array(result.vol0),
         profile_json=np.array(json.dumps(profile_to_dict(result.profile))),
-        config_json=np.array(json.dumps(_simconfig_to_dict(result.config))),
+        config_json=np.array(json.dumps(simconfig_to_dict(result.config))),
         motion_t=result.motion.t, motion_x=result.motion.x,
         motion_y=result.motion.y, motion_theta=result.motion.theta,
         target_region=(scene.target_region if scene.target_region is not None
@@ -188,7 +188,7 @@ def read_frames(path) -> SimResult:
                          vol0=float(z["vol0"]), scene=scene)
 
 
-def _simconfig_to_dict(cfg: SimConfig) -> dict:
+def simconfig_to_dict(cfg: SimConfig) -> dict:
     return {
         "nx": cfg.nx, "ny": cfg.ny, "domain": list(cfg.domain), "dt": cfg.dt,
         "frame_dt": cfg.frame_dt, "gravity": cfg.gravity,
@@ -390,6 +390,27 @@ def read_trajectory(path):
     cols = {name: rows[:, i] for i, name in enumerate(header)}
     return {"t": t, "Q": Q, "theta": cols["theta_rad"], "phi": cols["phi_rad"],
             "vol": cols["vol_m3"], "v_out": cols["v_out_m_per_s"]}
+
+
+# ---------------------------------------------------------------------------
+# per-sample traces: predictions, catch counts, report traces
+# ---------------------------------------------------------------------------
+
+PREDICTION_HEADER = ["t_s", "theta_rad", "vol_m3", "v_out_m_per_s"]
+CATCH_HEADER = ["t_s", "n_source", "n_free", "n_target", "frac_target"]
+MEASURED_TRACE_HEADER = ["t_s", "v_out_meas_m_per_s", "bernoulli_m_per_s",
+                         "theta_rad", "dh_meas_m", "g_model_m_per_s"]
+ROLLOUT_TRACE_HEADER = ["t_s", "v_out_model_m_per_s", "bernoulli_m_per_s",
+                        "theta_rad", "dh_table_m", "vol_m3"]
+
+
+def write_columns(path, header, columns) -> None:
+    """CSV of equal-length numeric columns; NaN is written as an empty cell."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        for row in zip(*columns):
+            w.writerow(["" if math.isnan(v) else _fnum(v) for v in row])
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ parabola anchored at the outflow centroid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,24 +89,6 @@ class LeanAzimuth:
 
 
 @dataclass
-class QuadraticCurve:
-    """Gravity parabola C(t) = g/2 t^2 + V t + E of the free-flying liquid."""
-
-    gravity: np.ndarray
-    v_out: np.ndarray
-    origin: np.ndarray
-
-    def position(self, t):
-        t = np.asarray(t, dtype=float)
-        return (0.5 * np.multiply.outer(t * t, self.gravity)
-                + np.multiply.outer(t, self.v_out) + self.origin)
-
-    def velocity(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.multiply.outer(t, self.gravity) + self.v_out
-
-
-@dataclass
 class FluidTrajectory:
     """Discretized fluid descriptors along a pour."""
 
@@ -142,29 +124,12 @@ def _features(dh, theta):
     return np.stack([b, b ** 2, b ** 3, s, s ** 2, s ** 3], axis=-1)
 
 
-def outflow_speed_raw(coeffs: OutflowCoeffs, theta: float, vol: float,
-                      tables: GeomTables) -> float:
-    """Unclamped model speed; may be slightly negative for poor fits."""
-    q = tables.interp_many(theta, vol)
-    feat = _features(float(q["dh"][0]), theta)
-    return float(feat @ coeffs.as_array())
-
-
-def outflow_speed(coeffs: OutflowCoeffs, theta: float, vol: float,
-                  tables: GeomTables) -> float:
-    """Model speed clamped to be nonnegative."""
-    return max(0.0, outflow_speed_raw(coeffs, theta, vol, tables))
-
-
-def step(state: FluidState, theta_next: float, dt: float,
-         tables: GeomTables, coeffs: OutflowCoeffs) -> FluidState:
-    """One forward-Euler step: speed from the model, volume through A."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    v_next = outflow_speed(coeffs, theta_next, state.vol, tables)
-    q = tables.interp_many(theta_next, state.vol)
-    vol_next = max(0.0, state.vol - float(q["A"][0]) * v_next * dt)
-    return FluidState(vol=vol_next, v_out=v_next)
+def outflow_speed(coeffs: OutflowCoeffs, theta, vol, tables: GeomTables):
+    """Model speed clamped to be nonnegative, at one sample or an array."""
+    thetas = np.atleast_1d(np.asarray(theta, dtype=float))
+    q = tables.interp_many(thetas, vol)
+    v = np.maximum(_features(q["dh"], thetas) @ coeffs.as_array(), 0.0)
+    return v if np.ndim(theta) else float(v[0])
 
 
 def rollout(state0: FluidState, thetas, dt: float,
@@ -174,6 +139,8 @@ def rollout(state0: FluidState, thetas, dt: float,
     Volume is non-increasing and clamped at zero; negative model speeds are
     clamped and counted in ``clamp_events``.
     """
+    if dt <= 0:
+        raise ValueError("dt must be positive")
     thetas = np.asarray(thetas, dtype=float)
     n = len(thetas)
     vol = np.empty(n)
@@ -231,52 +198,93 @@ def fit_coefficients(samples, tables: GeomTables) -> FitResult:
                      n_samples=len(samples))
 
 
-def azimuth_rotation(phi: float) -> np.ndarray:
-    c, s = math.cos(phi), math.sin(phi)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+@dataclass
+class Landing:
+    """Flight parabolas of the mean outflow at a batch of samples.
 
-
-def outflow_direction_local(theta: float) -> np.ndarray:
-    """Tilt-plane outflow direction; horizontal below a 90-degree lean."""
-    t = max(theta, 0.5 * math.pi)
-    return np.array([math.sin(t), 0.0, math.cos(t)])
-
-
-def flight_curve(state: FluidState, lean: LeanAzimuth, container_pose,
-                 tables: GeomTables) -> QuadraticCurve:
-    """Free-flight parabola of the mean outflow in world coordinates.
-
-    ``container_pose`` may be a 4x4 transform or a 3-vector position; only
-    the translation is used since the orientation is captured by ``lean``.
+    The liquid leaves the outflow centroid E with velocity V and follows
+    C(t) = g/2 t^2 + V t + E.  ``t`` and ``point`` are NaN at samples whose
+    parabola never reaches the target altitude.  The derivatives of the
+    landing point are set only when asked for.
     """
-    pose = np.asarray(container_pose, dtype=float)
-    t_world = pose[:3, 3] if pose.shape == (4, 4) else pose.reshape(3)
-    q = tables.interp_many(lean.theta, state.vol)
-    e_tilt = np.array([float(q["ex"][0]), 0.0, float(q["ez"][0])])
-    rot = azimuth_rotation(lean.phi)
-    origin = t_world + rot @ e_tilt
-    v_world = state.v_out * (rot @ outflow_direction_local(lean.theta))
-    return QuadraticCurve(gravity=np.array([0.0, 0.0, -GRAVITY]),
-                          v_out=v_world, origin=origin)
+
+    origin: np.ndarray            # (n, 3) outflow centroid E
+    velocity: np.ndarray          # (n, 3) initial velocity V
+    t: np.ndarray                 # (n,) flight time to the target altitude
+    point: np.ndarray             # (n, 3) landing point C(t)
+    table: dict                   # spill-table query at (theta, vol)
+    d_theta: np.ndarray | None = None   # (n, 3) d point / d theta
+    d_phi: np.ndarray | None = None     # (n, 3) d point / d phi
+    d_pos: np.ndarray | None = None     # (n, 3, 3) d point / d position
 
 
-def time_to_altitude(curve: QuadraticCurve, o_t) -> float | None:
-    """Smallest nonnegative time at which the curve reaches O_T's altitude.
+def flight_landing(tables: GeomTables, thetas, phis, positions, vols, speeds,
+                   o_t, jacobians: bool = False) -> Landing:
+    """Where the outflow parabola of each sample meets the altitude of O_T.
 
-    Solves <g, C(t) - O_T> = 0; returns None when no nonnegative real root
-    exists.
+    Each sample gives the leaning angle theta, the tilt azimuth phi, the
+    container position, the remaining volume and the outflow speed.  The
+    outflow direction lies in the tilt plane: horizontal below a 90-degree
+    lean, then (sin theta, 0, cos theta); the centroid offset e(theta, vol)
+    comes from the tables.  Both are turned by the azimuth rotation about
+    world z.  The flight time is the smallest nonnegative root of
+    <g, C(t) - O_T> = 0.  With ``jacobians`` the landing point is
+    differentiated in theta, phi and position at fixed volume and speed,
+    through the flight time as well.
     """
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    phis = np.atleast_1d(np.asarray(phis, dtype=float))
+    pos = np.asarray(positions, dtype=float).reshape(-1, 3)
+    speeds = np.atleast_1d(np.asarray(speeds, dtype=float))
     o_t = np.asarray(o_t, dtype=float)
-    g = curve.gravity
-    a2 = 0.5 * float(g @ g)
-    a1 = float(g @ curve.v_out)
-    a0 = float(g @ (curve.origin - o_t))
+    q = tables.interp_many(thetas, vols)
+    c, s = np.cos(phis), np.sin(phis)
+
+    def turn(x, z):                 # R(phi) (x, 0, z)
+        return np.stack([c * x, s * x, z], axis=-1)
+
+    def turn_rate(x):               # dR/dphi (x, 0, z)
+        return np.stack([-s * x, c * x, np.zeros_like(x)], axis=-1)
+
+    tilt = np.maximum(thetas, 0.5 * math.pi)
+    V = speeds[:, None] * turn(np.sin(tilt), np.cos(tilt))
+    E = pos + turn(q["ex"], q["ez"])
+
+    # <g, C(t) - O_T> = a2 t^2 + a1 t + a0 with g = (0, 0, -GRAVITY)
+    a2 = 0.5 * GRAVITY * GRAVITY
+    a1 = -GRAVITY * V[:, 2]
+    a0 = -GRAVITY * (E[:, 2] - o_t[2])
     disc = a1 * a1 - 4.0 * a2 * a0
-    if disc < 0:
-        return None
-    sq = math.sqrt(disc)
-    roots = sorted(((-a1 - sq) / (2.0 * a2), (-a1 + sq) / (2.0 * a2)))
-    for r in roots:
-        if r >= -1e-12:
-            return max(r, 0.0)
-    return None
+    sq = np.sqrt(np.maximum(disc, 0.0))
+    lo = (-a1 - sq) / (2.0 * a2)
+    hi = (-a1 + sq) / (2.0 * a2)
+    t = np.where(lo >= -1e-12, lo, np.where(hi >= -1e-12, hi, np.nan))
+    t = np.where(disc < 0, np.nan, np.maximum(t, 0.0))
+    grav = np.array([0.0, 0.0, -GRAVITY])
+    point = 0.5 * ((t * t)[:, None] * grav) + t[:, None] * V + E
+    land = Landing(origin=E, velocity=V, t=t, point=point, table=q)
+    if not jacobians:
+        return land
+
+    # a change dC of the curve at fixed t moves the landing by
+    # dC + C'(t) dt, with dt from keeping <g, C(t) - O_T> = 0
+    rate = t[:, None] * grav + V
+    denom = rate @ grav
+    steep = np.abs(denom) > 1e-9
+    denom = np.where(steep, denom, 1.0)
+
+    def landing_rate(dC):
+        dt = np.where(steep, -(dC @ grav) / denom, 0.0)
+        return dC + rate * dt[:, None]
+
+    past = (thetas >= 0.5 * math.pi)[:, None]
+    dV_dtheta = np.where(past, speeds[:, None]
+                         * turn(np.cos(thetas), -np.sin(thetas)), 0.0)
+    land.d_theta = landing_rate(t[:, None] * dV_dtheta
+                                + turn(q["dex_dtheta"], q["dez_dtheta"]))
+    land.d_phi = landing_rate(
+        t[:, None] * speeds[:, None] * turn_rate(np.sin(tilt))
+        + turn_rate(q["ex"]))
+    dt_dpos = np.where(steep[:, None], -grav / denom[:, None], 0.0)
+    land.d_pos = np.eye(3) + rate[:, :, None] * dt_dpos[:, None, :]
+    return land

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -418,19 +418,6 @@ class GeomTables:
             )
 
 
-@dataclass
-class GeomSample:
-    """One interpolated table query with finite-difference partials."""
-
-    A: float
-    dh: float
-    e: np.ndarray  # (2,) tilt-frame centroid (ex, ez)
-    dA_dtheta: float
-    dA_dvol: float
-    ddh_dtheta: float
-    ddh_dvol: float
-
-
 def build_tables(profile: ContainerProfile,
                  theta_step: float = math.radians(1.0),
                  grid_cell: float = 1e-3,
@@ -492,43 +479,6 @@ def build_tables(profile: ContainerProfile,
         grid_cell=grid_cell,
         theta_step=theta_step,
         lip_local=profile.lip,
-    )
-
-
-def lookup(tables: GeomTables, theta: float, vol: float) -> GeomSample:
-    """Bilinear table query with central finite-difference partials.
-
-    The partial step equals one grid spacing, one-sided at the range ends.
-    Volumes above the top level clamp to the top level.
-    """
-    if vol < 0:
-        raise ValueError("volume must be nonnegative")
-    base = tables.interp_many(np.array([theta]), np.array([vol]))
-
-    dt = tables.theta_step
-    t_lo = max(tables.theta[0], theta - dt)
-    t_hi = min(tables.theta[-1], theta + dt)
-    at_t = tables.interp_many(np.array([t_lo, t_hi]), np.array([vol, vol]))
-
-    dv = float(tables.vol_levels[1] - tables.vol_levels[0])
-    v_lo = max(0.0, vol - dv)
-    v_hi = min(tables.v_max, vol + dv)
-    at_v = tables.interp_many(np.array([theta, theta]), np.array([v_lo, v_hi]))
-
-    def fd(vals, lo, hi):
-        span = hi - lo
-        if span <= 0:
-            return 0.0
-        return float((vals[1] - vals[0]) / span)
-
-    return GeomSample(
-        A=float(base["A"][0]),
-        dh=float(base["dh"][0]),
-        e=np.array([float(base["ex"][0]), float(base["ez"][0])]),
-        dA_dtheta=fd(at_t["A"], t_lo, t_hi),
-        dA_dvol=fd(at_v["A"], v_lo, v_hi),
-        ddh_dtheta=fd(at_t["dh"], t_lo, t_hi),
-        ddh_dvol=fd(at_v["dh"], v_lo, v_hi),
     )
 
 

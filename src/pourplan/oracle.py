@@ -12,11 +12,10 @@ Particle count is conserved exactly; escapees are clamped to the domain.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage, sparse
+from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
 from .fluid import TrainingSample
@@ -700,18 +699,6 @@ def simulate_pour(profile: ContainerProfile, motion: MotionSchedule,
                                   + (cand_pts[:, 1] - pos[p_idx, 1]) ** 2)
                             pos[p_idx] = cand_pts[int(np.argmin(d2))]
                             vel[p_idx] = 0.0
-            if os.environ.get("POURPLAN_DEBUG_CONTAIN"):
-                in_final = _points_in_polygon(pos[:, 0], pos[:, 1], poly_next)
-                bad = np.where(in_before & ~in_final)[0]
-                if len(bad):
-                    ok_cross = _segments_cross(pos_before[bad], pos[bad],
-                                               lip_seg[0], lip_seg[1])
-                    n_illegal = int((~ok_cross).sum())
-                    if n_illegal:
-                        rel = pos[bad[~ok_cross]][:3]
-                        print(f"ILLEGAL exits {n_illegal} at t={t_now:.3f} "
-                              f"theta={math.degrees(pose_now[2]):.1f} "
-                              f"sample={rel}")
             t_now += dt_sub
 
     area0 = n_particles / config.particles_per_cell * h * h

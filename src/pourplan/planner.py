@@ -19,15 +19,12 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import collision as coll
-from .fluid import (FluidState, FluidTrajectory, OutflowCoeffs, QuadraticCurve,
-                    azimuth_rotation, outflow_direction_local, rollout,
-                    time_to_altitude)
-from .geometry import GRAVITY, GeomTables
+from .fluid import (FluidState, FluidTrajectory, Landing, OutflowCoeffs,
+                    flight_landing, rollout)
+from .geometry import GeomTables
 from .qp import QPProblem, solve_qp
 from .robot import (KinematicChain, RobotTrajectory, forward_kinematics,
                     geom_world_poses, jacobians, lean_azimuth, point_jacobian)
-
-GRAV_VEC = np.array([0.0, 0.0, -GRAVITY])
 
 
 @dataclass
@@ -153,22 +150,61 @@ def kinematics_along(chain: KinematicChain, Q) -> list:
     for q in np.asarray(Q, dtype=float):
         fk = forward_kinematics(chain, q)
         la = lean_azimuth(fk.container)
-        jac = jacobians(chain, q)
+        jac = jacobians(chain, fk)
         out.append(TimestepKin(theta=la.theta, phi=la.phi,
                                dtheta=jac.dtheta_dq, dphi=jac.dphi_dq,
                                pos=fk.container[:3, 3], J_pos=jac.J_pos, fk=fk))
     return out
 
 
-def _rotation_z_prime(phi: float) -> np.ndarray:
-    c, s = math.cos(phi), math.sin(phi)
-    return np.array([[-s, -c, 0.0], [c, -s, 0.0], [0.0, 0.0, 0.0]])
+def landing_along(problem: PlanningProblem, kin, P: FluidTrajectory,
+                  jacobians: bool = False) -> Landing:
+    """Outflow landing at the target altitude for every trajectory sample."""
+    return flight_landing(problem.tables, [k.theta for k in kin],
+                          [k.phi for k in kin], [k.pos for k in kin],
+                          P.vol, P.v_out, problem.world.o_t, jacobians)
 
 
-def _dir_prime(theta: float) -> np.ndarray:
-    if theta < 0.5 * math.pi:
-        return np.zeros(3)
-    return np.array([math.cos(theta), 0.0, -math.sin(theta)])
+def _block_diagonal(blocks: np.ndarray) -> np.ndarray:
+    n, dof, _ = blocks.shape
+    H = np.zeros((n * dof, n * dof))
+    H.reshape(n, dof, n, dof)[np.arange(n), :, np.arange(n), :] = blocks
+    return H
+
+
+def _transfer_terms(kin, P: FluidTrajectory, problem: PlanningProblem,
+                    derivatives: bool = False):
+    """Weighted transfer and guide values at a fixed fluid trajectory.
+
+    With ``derivatives`` also their gradient (n, dof) and Gauss-Newton
+    Hessian in flat Q; otherwise those two are None.
+    """
+    land = landing_along(problem, kin, P, jacobians=derivatives)
+    A = land.table["A"]
+    hit = np.isfinite(land.t)
+    r = np.where(hit[:, None], land.point - problem.world.o_t, 0.0)
+    r2 = (r * r).sum(axis=1)
+    w_obj, w_guide, _ = problem.weights
+    w = w_obj * np.maximum(A, 0.0)
+    transfer = float(w @ r2)
+    dth = kin[-1].theta - problem.theta_final
+    guide = w_guide * dth * dth
+    if not derivatives:
+        return transfer, guide, None, None
+
+    dtheta = np.array([k.dtheta for k in kin])            # (n, dof)
+    dphi = np.array([k.dphi for k in kin])
+    J_pos = np.array([k.J_pos for k in kin])              # (n, 3, dof)
+    J_r = (land.d_theta[:, :, None] * dtheta[:, None, :]
+           + land.d_phi[:, :, None] * dphi[:, None, :]
+           + land.d_pos @ J_pos)
+    J_r = np.where(hit[:, None, None], J_r, 0.0)
+    grad = (w_obj * (land.table["dA_dtheta"] * r2)[:, None] * dtheta
+            + 2.0 * w[:, None] * np.einsum("nkd,nk->nd", J_r, r))
+    blocks = 2.0 * w[:, None, None] * np.einsum("nki,nkj->nij", J_r, J_r)
+    grad[-1] += 2.0 * w_guide * dth * kin[-1].dtheta
+    blocks[-1] += 2.0 * w_guide * np.outer(kin[-1].dtheta, kin[-1].dtheta)
+    return transfer, guide, grad, _block_diagonal(blocks)
 
 
 def transfer_objective(Q, P: FluidTrajectory, problem: PlanningProblem,
@@ -185,69 +221,11 @@ def transfer_objective(Q, P: FluidTrajectory, problem: PlanningProblem,
     position; the Hessian keeps only first-order residual terms so it stays
     positive semi-definite.
     """
-    Q = np.asarray(Q, dtype=float)
-    n, dof = Q.shape
     if kin is None:
-        kin = kinematics_along(problem.chain, Q)
-    thetas = np.array([k.theta for k in kin])
-    tq = problem.tables.interp_many(thetas, P.vol)
-    w_obj, w_guide, _ = problem.weights
-
-    value = 0.0
-    grad = np.zeros((n, dof))
-    H = np.zeros((n * dof, n * dof))
-    o_t = problem.world.o_t
-
-    for i in range(n):
-        A = float(tq["A"][i])
-        dA_dth = float(tq["dA_dtheta"][i])
-        if A <= 0.0 and dA_dth == 0.0:
-            continue
-        k = kin[i]
-        v_out = float(P.v_out[i])
-        rot = azimuth_rotation(k.phi)
-        rot_p = _rotation_z_prime(k.phi)
-        e_tilt = np.array([float(tq["ex"][i]), 0.0, float(tq["ez"][i])])
-        de_tilt = np.array([float(tq["dex_dtheta"][i]), 0.0,
-                            float(tq["dez_dtheta"][i])])
-        d_local = outflow_direction_local(k.theta)
-        V = v_out * (rot @ d_local)
-        E = k.pos + rot @ e_tilt
-        curve = QuadraticCurve(gravity=GRAV_VEC, v_out=V, origin=E)
-        t_hit = time_to_altitude(curve, o_t)
-        if t_hit is None:
-            continue
-        r = curve.position(t_hit) - o_t
-
-        # dV/dq and dE/dq through (theta, phi, position)
-        dV = (v_out * np.outer(rot_p @ d_local, k.dphi)
-              + v_out * np.outer(rot @ _dir_prime(k.theta), k.dtheta))
-        dE = (k.J_pos + np.outer(rot_p @ e_tilt, k.dphi)
-              + np.outer(rot @ de_tilt, k.dtheta))
-        dC = t_hit * dV + dE                      # (3, dof), at fixed t
-        dCdt = GRAV_VEC * t_hit + V
-        denom = float(GRAV_VEC @ dCdt)
-        if abs(denom) > 1e-9:
-            dt_dq = -(GRAV_VEC @ dC) / denom      # (dof,)
-        else:
-            dt_dq = np.zeros(dof)
-        J_r = dC + np.outer(dCdt, dt_dq)          # (3, dof)
-
-        w = w_obj * max(A, 0.0)
-        r2 = float(r @ r)
-        value += w * r2
-        grad[i] += w_obj * dA_dth * k.dtheta * r2 + 2.0 * w * (J_r.T @ r)
-        sl = slice(i * dof, (i + 1) * dof)
-        H[sl, sl] += 2.0 * w * (J_r.T @ J_r)
-
-    # guiding term on the final leaning angle
-    kN = kin[-1]
-    dth = kN.theta - problem.theta_final
-    value += w_guide * dth * dth
-    grad[-1] += 2.0 * w_guide * dth * kN.dtheta
-    slN = slice((n - 1) * dof, n * dof)
-    H[slN, slN] += 2.0 * w_guide * np.outer(kN.dtheta, kN.dtheta)
-    return value, grad, H
+        kin = kinematics_along(problem.chain, np.asarray(Q, dtype=float))
+    transfer, guide, grad, H = _transfer_terms(kin, P, problem,
+                                               derivatives=True)
+    return transfer + guide, grad, H
 
 
 @dataclass
@@ -261,34 +239,85 @@ class LinearContact:
 
 
 @dataclass
+class PenaltyQP:
+    """A penalty as QP terms in x = [q, t]: 1/2 x'Hx + g'x + const subject
+    to A x >= b and t >= 0, with the slacks that minimize it at the anchor."""
+
+    H: np.ndarray
+    g: np.ndarray
+    const: float
+    A: np.ndarray
+    b: np.ndarray
+    slacks: np.ndarray
+
+
+@dataclass
 class PenaltyModel:
+    """Soft penalty on linearized separation constraints c = sd + G dq >= 0.
+
+    dq is the flat trajectory change from the linearization point.  L1
+    charges eta * max(0, -c).  AL charges mu u^2 - lambda u at the best
+    slack t >= 0, u = c - t: mu c^2 - lambda c below c = lambda / (2 mu) and
+    -lambda^2 / (4 mu) above it.  The merit, its gradient and the QP terms
+    all come from these formulas.
+    """
+
     mode: str
-    value: float               # merit contribution at the linearization point
-    grad: np.ndarray           # gradient in flat Q at the linearization point
-    contacts: list
+    sd: np.ndarray             # (m,) constraint values at the linearization
+    G: np.ndarray              # (m, n*dof) constraint gradients
     eta: float
     mu: float
-    lambdas: np.ndarray
+    lambdas: np.ndarray        # (m,) AL multipliers
 
-    def constraint_values(self, dq_flat: np.ndarray, n: int, dof: int):
-        vals = np.empty(len(self.contacts))
-        for j, lc in enumerate(self.contacts):
-            sl = slice(lc.timestep * dof, (lc.timestep + 1) * dof)
-            vals[j] = lc.sd + float(lc.grad @ dq_flat[sl])
-        return vals
+    def merit(self, dq_flat) -> float:
+        c = self.sd + self.G @ dq_flat
+        if self.mode == "l1":
+            return float(self.eta * np.maximum(0.0, -c).sum())
+        lam, mu = self.lambdas, self.mu
+        return float(np.where(c >= lam / (2.0 * mu), -lam ** 2 / (4.0 * mu),
+                              mu * c ** 2 - lam * c).sum())
 
-    def merit(self, dq_flat: np.ndarray, n: int, dof: int) -> float:
-        c = self.constraint_values(dq_flat, n, dof)
-        return _penalty_merit(c, self.mode, self.eta, self.mu, self.lambdas)
+    @property
+    def value(self) -> float:
+        """Merit at the linearization point."""
+        return self.merit(np.zeros(self.G.shape[1]))
 
+    @property
+    def grad(self) -> np.ndarray:
+        """Merit gradient in flat Q at the linearization point."""
+        c = self.sd
+        if self.mode == "l1":
+            dpen = np.where(c < 0.0, -self.eta, 0.0)
+        else:
+            dpen = np.where(c < self.lambdas / (2.0 * self.mu),
+                            2.0 * self.mu * c - self.lambdas, 0.0)
+        return dpen @ self.G
 
-def _penalty_merit(c, mode, eta, mu, lambdas) -> float:
-    if mode == "l1":
-        return float(eta * np.maximum(0.0, -c).sum())
-    u0 = lambdas / (2.0 * mu)
-    val = np.where(c >= u0, -lambdas ** 2 / (4.0 * mu),
-                   mu * c ** 2 - lambdas * c)
-    return float(val.sum())
+    def qp_terms(self, q_anchor, damping: float = 0.0) -> PenaltyQP:
+        """The penalty as QP terms with constraints c = sd + G (q - q_anchor).
+
+        L1 adds the slack cost eta * t and rows G q + t >= -(sd - G q_anchor).
+        AL adds mu u^2 - lambda u for u = [G, -I] x + sd - G q_anchor, as one
+        product of that matrix with itself.  The slacks minimize the terms at
+        q = q_anchor; for AL they include the ``damping`` the QP puts on
+        every diagonal entry.
+        """
+        m, nq = self.G.shape
+        b = self.sd - self.G @ q_anchor
+        if self.mode == "l1":
+            return PenaltyQP(
+                H=np.zeros((nq + m, nq + m)),
+                g=np.concatenate([np.zeros(nq), np.full(m, self.eta)]),
+                const=0.0, A=np.hstack([self.G, np.eye(m)]), b=-b,
+                slacks=np.maximum(0.0, -self.sd))
+        lam, mu = self.lambdas, self.mu
+        U = np.hstack([self.G, -np.eye(m)])
+        return PenaltyQP(
+            H=2.0 * mu * (U.T @ U), g=U.T @ (2.0 * mu * b - lam),
+            const=float(mu * b @ b - lam @ b), A=np.zeros((0, nq + m)),
+            b=np.zeros(0),
+            slacks=np.maximum(0.0, (2.0 * mu * self.sd - lam)
+                              / (2.0 * mu + damping)))
 
 
 def collision_penalty(lin_contacts, mode: str, params, n: int,
@@ -296,36 +325,64 @@ def collision_penalty(lin_contacts, mode: str, params, n: int,
     """Soft-penalty model of the linearized separation constraints.
 
     ``params`` carries eta (L1 weight), mu (AL weight) and per-contact
-    multipliers lambdas.  The returned model evaluates the merit penalty at
-    trajectory perturbations and exposes the pieces the QP assembly needs.
+    multipliers lambdas.
     """
-    eta = float(params.get("eta", 1.0))
-    mu = float(params.get("mu", 1.0))
-    lambdas = np.asarray(params.get("lambdas",
-                                    np.zeros(len(lin_contacts))), dtype=float)
-    c0 = np.array([lc.sd for lc in lin_contacts])
-    value = _penalty_merit(c0, mode, eta, mu, lambdas) if len(c0) else 0.0
-    grad = np.zeros(n * dof)
-    for j, lc in enumerate(lin_contacts):
-        sl = slice(lc.timestep * dof, (lc.timestep + 1) * dof)
-        if mode == "l1":
-            dpen = -eta if c0[j] < 0.0 else 0.0
-        else:
-            u0 = lambdas[j] / (2.0 * mu)
-            dpen = 2.0 * mu * c0[j] - lambdas[j] if c0[j] < u0 else 0.0
-        grad[sl] += dpen * lc.grad
-    return PenaltyModel(mode=mode, value=float(value), grad=grad,
-                        contacts=list(lin_contacts), eta=eta, mu=mu,
-                        lambdas=lambdas)
+    m = len(lin_contacts)
+    G = np.zeros((m, n * dof))
+    steps = np.array([lc.timestep for lc in lin_contacts], dtype=int)
+    G[np.arange(m)[:, None], steps[:, None] * dof + np.arange(dof)] = \
+        np.reshape([lc.grad for lc in lin_contacts], (m, dof))
+    return PenaltyModel(
+        mode=mode, sd=np.array([lc.sd for lc in lin_contacts], dtype=float),
+        G=G, eta=float(params.get("eta", 1.0)),
+        mu=float(params.get("mu", 1.0)),
+        lambdas=np.asarray(params.get("lambdas", np.zeros(m)), dtype=float))
+
+
+@dataclass
+class PenaltySchedule:
+    """Penalty weights and AL multipliers carried across outer iterations.
+
+    Each refresh raises the active weight tenfold, up to ``cap``, when the
+    summed violation did not at least halve since the last refresh.  In AL
+    mode every contact then updates the multiplier of its (body, obstacle)
+    pair as lambda <- max(0, lambda - 2 mu sd).
+    """
+
+    mode: str
+    eta: float
+    mu: float
+    cap: float
+    multipliers: dict = field(default_factory=dict)
+    v_prev: float | None = None
+
+    def refresh(self, contacts, n: int, dof: int) -> PenaltyModel:
+        violation = float(sum(max(0.0, -lc.sd) for lc in contacts))
+        if (self.v_prev is not None and violation > 1e-9
+                and violation > 0.5 * self.v_prev):
+            if self.mode == "l1":
+                self.eta = min(self.eta * 10.0, self.cap)
+            else:
+                self.mu = min(self.mu * 10.0, self.cap)
+        if self.mode == "al":
+            for lc in contacts:
+                key = lc.key[1:]
+                lam = self.multipliers.get(key, 0.0)
+                self.multipliers[key] = max(0.0, lam - 2.0 * self.mu * lc.sd)
+        self.v_prev = violation
+        return self.model(contacts, n, dof)
+
+    def model(self, contacts, n: int, dof: int) -> PenaltyModel:
+        lambdas = np.array([self.multipliers.get(lc.key[1:], 0.0)
+                            for lc in contacts])
+        return collision_penalty(contacts, self.mode,
+                                 {"eta": self.eta, "mu": self.mu,
+                                  "lambdas": lambdas}, n, dof)
 
 
 # ---------------------------------------------------------------------------
 # contact gathering
 # ---------------------------------------------------------------------------
-
-def _bodies_at(problem: PlanningProblem, kin_i: TimestepKin):
-    return geom_world_poses(problem.chain, kin_i.fk)
-
 
 def gather_contacts(problem: PlanningProblem, Q, kin=None):
     """Deepest contact per (body, obstacle) pair and timestep, linearized.
@@ -341,7 +398,7 @@ def gather_contacts(problem: PlanningProblem, Q, kin=None):
     out = []
     geoms = problem.chain.link_geoms
     for i, k in enumerate(kin):
-        bodies = _bodies_at(problem, k)
+        bodies = geom_world_poses(problem.chain, k.fk)
         contacts = coll.deepest_contacts(problem.world.obstacles, bodies,
                                          margin=2.0 * margin + 0.02,
                                          adjacency=problem.adjacency)
@@ -368,7 +425,7 @@ def min_clearance_along(problem: PlanningProblem, Q, kin=None) -> float:
         kin = kinematics_along(problem.chain, np.asarray(Q, dtype=float))
     worst = np.inf
     for k in kin:
-        bodies = _bodies_at(problem, k)
+        bodies = geom_world_poses(problem.chain, k.fk)
         sep = coll.min_separation(problem.world.obstacles, bodies,
                                   adjacency=problem.adjacency)
         worst = min(worst, sep)
@@ -393,42 +450,59 @@ def _rollout_for(problem: PlanningProblem, kin) -> FluidTrajectory:
                    problem.coeffs)
 
 
-def _merit(problem, Q, kin, penalty_model, q_ref_flat):
-    _, _, w_reg = problem.weights
+def _merit(problem, Q, kin, pen: PenaltyModel, q_ref) -> float:
+    """True merit at Q with its own fluid rollout."""
     P = _rollout_for(problem, kin)
-    val_transfer, val_guide = transfer_values(Q, P, problem, kin)
+    transfer, guide, _, _ = _transfer_terms(kin, P, problem)
     reg, _, _ = smoothness_cost(Q)
-    pen = penalty_model.merit(Q.reshape(-1) - q_ref_flat, problem.n,
-                              problem.chain.dof)
-    return val_transfer + val_guide + w_reg * reg + pen, P
+    return transfer + guide + problem.weights[2] * reg + pen.merit(
+        Q.reshape(-1) - q_ref)
 
 
-def transfer_values(Q, P, problem, kin=None):
-    """Weighted (transfer, guide) split of the objective, values only."""
-    if kin is None:
-        kin = kinematics_along(problem.chain, np.asarray(Q, dtype=float))
-    thetas = np.array([k.theta for k in kin])
-    tq = problem.tables.interp_many(thetas, P.vol)
-    o_t = problem.world.o_t
-    w_obj, w_guide, _ = problem.weights
-    transfer = 0.0
-    for i in range(problem.n):
-        A = float(tq["A"][i])
-        if A <= 0.0:
-            continue
-        k = kin[i]
-        rot = azimuth_rotation(k.phi)
-        e_tilt = np.array([float(tq["ex"][i]), 0.0, float(tq["ez"][i])])
-        V = float(P.v_out[i]) * (rot @ outflow_direction_local(k.theta))
-        E = k.pos + rot @ e_tilt
-        curve = QuadraticCurve(gravity=GRAV_VEC, v_out=V, origin=E)
-        t_hit = time_to_altitude(curve, o_t)
-        if t_hit is None:
-            continue
-        r = curve.position(t_hit) - o_t
-        transfer += A * float(r @ r)
-    dth = kin[-1].theta - problem.theta_final
-    return w_obj * transfer, w_guide * dth * dth
+@dataclass
+class _Limits:
+    """Hard QP constraints on the joints: bounds with the first sample
+    pinned, and velocity rows -vmax dt <= q_{i+1} - q_i <= vmax dt."""
+
+    lb: np.ndarray
+    ub: np.ndarray
+    A: np.ndarray
+    c: np.ndarray
+
+    @classmethod
+    def build(cls, problem: PlanningProblem, q_first) -> "_Limits":
+        n, dof = problem.n, problem.chain.dof
+        lb = np.tile(problem.chain.lower, n)
+        ub = np.tile(problem.chain.upper, n)
+        lb[:dof] = ub[:dof] = q_first
+        diff = np.eye(n * dof, k=dof)[:-dof] - np.eye(n * dof)[:-dof]
+        A = np.stack([diff, -diff], axis=1).reshape(-1, n * dof)
+        c = np.repeat(np.tile(-problem.chain.v_max * problem.dt, n - 1), 2)
+        return cls(lb=lb, ub=ub, A=A, c=c)
+
+
+def _qp_model(H_q, g_q, qf, pen: PenaltyModel, damping: float,
+              limits: _Limits):
+    """Damped QP in x = [q, t] around the current point qf.
+
+    Joins the quadratic model of the smooth terms, the penalty's QP terms
+    and the hard limits; Levenberg-Marquardt damping goes on the whole
+    diagonal.  Returns the problem and the penalty's slacks at qf.
+    """
+    terms = pen.qp_terms(qf, damping)
+    N, m = len(qf), len(terms.slacks)
+    H = terms.H
+    H[:N, :N] += H_q
+    H[np.diag_indices(N + m)] += damping
+    g = terms.g
+    g[:N] += g_q - H_q @ qf
+    qp = QPProblem(
+        H=H, g=g, lb=np.concatenate([limits.lb, np.zeros(m)]),
+        ub=np.concatenate([limits.ub, np.full(m, np.inf)]),
+        A=np.vstack([np.hstack([limits.A, np.zeros((len(limits.A), m))]),
+                     terms.A]),
+        c=np.concatenate([limits.c, terms.b]))
+    return qp, terms.slacks
 
 
 def plan(problem: PlanningProblem, settings: SolverSettings | None = None,
@@ -436,8 +510,9 @@ def plan(problem: PlanningProblem, settings: SolverSettings | None = None,
     """Run the decoupled spacetime optimization.
 
     Outer iterations refresh collision contacts and penalty schedules;
-    inner iterations refresh the fluid rollout, expand the objective, solve
-    the damped QP and accept or reject the step by the merit function.
+    inner iterations refresh the fluid rollout, build the damped QP model,
+    solve it and accept or reject the step by the trust-region ratio of
+    true to predicted merit decrease.
     Returns (RobotTrajectory, FluidTrajectory, PlanReport).
     """
     settings = settings or SolverSettings()
@@ -451,137 +526,47 @@ def plan(problem: PlanningProblem, settings: SolverSettings | None = None,
     if np.any(Q < lo - 1e-12) or np.any(Q > hi + 1e-12):
         raise ValueError("initial trajectory violates joint limits")
 
-    w_obj, w_guide, w_reg = problem.weights
-    damping = settings.damping
-    eta, mu = settings.eta, settings.mu
-    lam_store: dict = {}
-    v_prev = None
-
-    # constant pieces
+    w_reg = problem.weights[2]
     _, _, H_reg = smoothness_cost(Q)
-    vmax = problem.chain.v_max
-    dt = problem.dt
-
-    # velocity rows |q_{i+1} - q_i| <= vmax dt as two >= rows each
-    rows = []
-    rhs = []
-    for i in range(n - 1):
-        for d in range(dof):
-            row = np.zeros(n * dof)
-            row[(i + 1) * dof + d] = 1.0
-            row[i * dof + d] = -1.0
-            rows.append(row.copy())
-            rhs.append(-vmax[d] * dt)
-            rows.append(-row)
-            rhs.append(-vmax[d] * dt)
-    A_vel = np.array(rows)
-    c_vel = np.array(rhs)
-
-    lb_q = np.tile(lo, n)
-    ub_q = np.tile(hi, n)
-    lb_q[:dof] = Q[0]
-    ub_q[:dof] = Q[0]
-
-    outer_used = 0
-    inner_total = 0
-    qp_iters = 0
-    rejected = 0
+    limits = _Limits.build(problem, Q[0])
+    schedule = PenaltySchedule(problem.penalty_mode, settings.eta,
+                               settings.mu, settings.penalty_max)
+    damping = settings.damping
+    outer_used = inner_total = qp_iters = rejected = 0
     converged = False
-    message = ""
-
     kin = kinematics_along(problem.chain, Q)
 
     for outer in range(1, settings.max_outer + 1):
         outer_used = outer
-        Q_outer_ref = Q.copy()
+        q_ref = Q.reshape(-1).copy()
+        pen = schedule.refresh(gather_contacts(problem, Q, kin), n, dof)
 
-        lin_contacts = gather_contacts(problem, Q, kin)
-        violation = float(sum(max(0.0, -lc.sd) for lc in lin_contacts))
-        if v_prev is not None and violation > 1e-9 and violation > 0.5 * v_prev:
-            if problem.penalty_mode == "l1":
-                eta = min(eta * 10.0, settings.penalty_max)
-            else:
-                mu = min(mu * 10.0, settings.penalty_max)
-        if problem.penalty_mode == "al":
-            for lc in lin_contacts:
-                lam_old = lam_store.get(lc.key[1:], 0.0)
-                lam_store[lc.key[1:]] = max(0.0, lam_old - 2.0 * mu * lc.sd)
-        v_prev = violation
-
-        lambdas = np.array([lam_store.get(lc.key[1:], 0.0)
-                            for lc in lin_contacts])
-        params = {"eta": eta, "mu": mu, "lambdas": lambdas}
-
-        q_ref_flat = Q.reshape(-1).copy()
-        penalty_model = collision_penalty(lin_contacts, problem.penalty_mode,
-                                          params, n, dof)
-
-        for inner in range(1, settings.max_inner + 1):
+        for _ in range(settings.max_inner):
             inner_total += 1
-            P = _rollout_for(problem, kin)
-            val_obj, grad_obj, H_obj = transfer_objective(Q, P, problem, kin)
-            reg_val, grad_reg, _ = smoothness_cost(Q)
-
-            n_slack = len(lin_contacts)
-            dim = n * dof + n_slack
-            H = np.zeros((dim, dim))
-            g = np.zeros(dim)
+            # the QP model at Q, and the true merit there
             qf = Q.reshape(-1)
+            P = _rollout_for(problem, kin)
+            val_t, grad_t, H_t = transfer_objective(Q, P, problem, kin)
+            reg, grad_reg, _ = smoothness_cost(Q)
+            m_cur = val_t + w_reg * reg + pen.merit(qf - q_ref)
+            H_q = H_t + w_reg * H_reg
+            qp, slacks = _qp_model(
+                H_q, grad_t.reshape(-1) + w_reg * grad_reg.reshape(-1), qf,
+                pen, damping, limits)
 
-            # transfer_objective already carries its own weights
-            H_q = H_obj + w_reg * H_reg
-            grad_q = grad_obj.reshape(-1) + w_reg * grad_reg.reshape(-1)
-            H[:n * dof, :n * dof] = H_q
-            g[:n * dof] = grad_q - H_q @ qf
-
-            lb = np.concatenate([lb_q, np.zeros(n_slack)])
-            ub = np.concatenate([ub_q, np.full(n_slack, np.inf)])
-            A_list = [np.column_stack([A_vel, np.zeros((len(A_vel), n_slack))])] \
-                if len(A_vel) else []
-            c_list = [c_vel] if len(A_vel) else []
-
-            for j, lc in enumerate(lin_contacts):
-                sl = slice(lc.timestep * dof, (lc.timestep + 1) * dof)
-                a = np.zeros(dim)
-                a[sl] = lc.grad
-                const = lc.sd - float(lc.grad @ qf[sl])
-                if problem.penalty_mode == "al":
-                    a[n * dof + j] = -1.0
-                    lam_j = lambdas[j]
-                    # mu * (a^T x + const)^2 - lam * (a^T x + const)
-                    H += 2.0 * mu * np.outer(a, a)
-                    g += (2.0 * mu * const - lam_j) * a
-                else:
-                    # eta * t_j with rows t_j >= -(c_j)
-                    g[n * dof + j] += eta
-                    row = np.zeros(dim)
-                    row[sl] = lc.grad
-                    row[n * dof + j] = 1.0
-                    A_list.append(row[None, :])
-                    c_list.append(np.array([-const]))
-
-            H[np.diag_indices(dim)] += damping
-            A_all = np.vstack(A_list) if A_list else None
-            c_all = np.concatenate(c_list) if c_list else None
-
-            x0 = np.concatenate([qf, np.zeros(n_slack)])
-            sol = solve_qp(QPProblem(H=H, g=g, lb=lb, ub=ub, A=A_all, c=c_all),
-                           x0=x0, tol=settings.qp_tol)
+            x0 = np.concatenate([qf, np.zeros(len(slacks))])
+            sol = solve_qp(qp, x0=x0, tol=settings.qp_tol)
             qp_iters += sol.iterations
             Q_star = sol.x[:n * dof].reshape(n, dof)
-
-            step = float(np.abs(Q_star - Q).max())
-            if step < settings.eps:
+            if float(np.abs(Q_star - Q).max()) < settings.eps:
                 break
 
-            # trust-region test on the true (decoupled) merit
+            # trust-region test: true against predicted decrease
             kin_star = kinematics_along(problem.chain, Q_star)
-            m_cur, _ = _merit(problem, Q, kin, penalty_model, q_ref_flat)
-            m_new, _ = _merit(problem, Q_star, kin_star, penalty_model,
-                              q_ref_flat)
-            model_cur = _qp_objective_at(H, g, x0, lin_contacts, problem,
-                                         mu, eta, lambdas, qf, n, dof, damping)
-            model_new = float(0.5 * sol.x @ H @ sol.x + g @ sol.x)
+            m_new = _merit(problem, Q_star, kin_star, pen, q_ref)
+            x_cur = np.concatenate([qf, slacks])
+            model_cur = float(0.5 * x_cur @ qp.H @ x_cur + qp.g @ x_cur)
+            model_new = float(0.5 * sol.x @ qp.H @ sol.x + qp.g @ sol.x)
             denom = model_cur - model_new
             rho = (m_cur - m_new) / denom if denom > 1e-15 else \
                 (1.0 if m_new < m_cur else -1.0)
@@ -599,52 +584,31 @@ def plan(problem: PlanningProblem, settings: SolverSettings | None = None,
                 if damping >= settings.damping_max:
                     break
 
-        if float(np.abs(Q - Q_outer_ref).max()) < settings.eps and outer > 1:
+        if float(np.abs(Q.reshape(-1) - q_ref).max()) < settings.eps \
+                and outer > 1:
             converged = True
             break
 
-    if not converged:
-        message = "outer iteration cap reached without convergence"
-
-    kin = kinematics_along(problem.chain, Q)
     P = _rollout_for(problem, kin)
-    val_transfer, val_guide = transfer_values(Q, P, problem, kin)
-    reg_val, _, _ = smoothness_cost(Q)
-    lin_contacts = gather_contacts(problem, Q, kin)
-    lambdas = np.array([lam_store.get(lc.key[1:], 0.0) for lc in lin_contacts])
-    pen_model = collision_penalty(lin_contacts, problem.penalty_mode,
-                                  {"eta": eta, "mu": mu, "lambdas": lambdas},
-                                  n, dof)
+    transfer, guide, _, _ = _transfer_terms(kin, P, problem)
+    reg, _, _ = smoothness_cost(Q)
+    pen = schedule.model(gather_contacts(problem, Q, kin), n, dof)
     report = PlanReport(
         converged=converged,
         outer_iterations=outer_used,
         inner_iterations=inner_total,
         qp_iterations=qp_iters,
         rejected_steps=rejected,
-        cost_transfer=float(val_transfer),
-        cost_guide=float(val_guide),
-        cost_smoothness=float(reg_val),
-        cost_penalty=float(pen_model.value),
-        max_violation=float(max((max(0.0, -lc.sd) for lc in lin_contacts),
-                                default=0.0)),
+        cost_transfer=transfer,
+        cost_guide=float(guide),
+        cost_smoothness=float(reg),
+        cost_penalty=pen.value,
+        max_violation=float(np.maximum(0.0, -pen.sd).max(initial=0.0)),
         min_clearance=min_clearance_along(problem, Q, kin),
         predicted_pour_fraction=float(1.0 - P.vol[-1] / max(P.vol[0], 1e-30)),
         clamp_events=P.clamp_events,
         wall_time=time.perf_counter() - t0,
-        message=message,
+        message="" if converged else
+        "outer iteration cap reached without convergence",
     )
     return RobotTrajectory(Q=Q, tau=problem.tau), P, report
-
-
-def _qp_objective_at(H, g, x0, lin_contacts, problem, mu, eta, lambdas,
-                     qf, n, dof, damping):
-    """QP model value at the current point with optimal slack settings."""
-    x = x0.copy()
-    for j, lc in enumerate(lin_contacts):
-        c_j = lc.sd
-        if problem.penalty_mode == "al":
-            s = max(0.0, (2.0 * mu * c_j - lambdas[j]) / (2.0 * mu + damping))
-        else:
-            s = max(0.0, -c_j)
-        x[n * dof + j] = s
-    return float(0.5 * x @ H @ x + g @ x)

@@ -13,7 +13,7 @@ import numpy as np
 from . import collision as coll
 from . import robot as rb
 from .fluid import FluidState, OutflowCoeffs
-from .geometry import ContainerProfile, GeomTables, build_tables, load_profile
+from .geometry import ContainerProfile, GeomTables, load_profile
 from .oracle import MotionSchedule, SimConfig, SimScene
 from .planner import PlanningProblem, WorldModel
 

@@ -214,13 +214,13 @@ class Jacobians:
     degenerate: bool           # vertical axis: phi (and theta) rate undefined
 
 
-def jacobians(chain: KinematicChain, q) -> Jacobians:
-    """Geometric Jacobians plus lean-angle and azimuth rates.
+def jacobians(chain: KinematicChain, fk: FKResult) -> Jacobians:
+    """Geometric Jacobians plus lean-angle and azimuth rates at the
+    configuration whose forward kinematics is ``fk``.
 
     At theta = 0 the azimuth is undefined; both angle rates are reported as
     zero with the degenerate flag set.
     """
-    fk = forward_kinematics(chain, q)
     p_ee = fk.ee[:3, 3]
     J_ee = np.zeros((6, chain.dof))
     for i, joint in enumerate(chain.joints):
@@ -267,7 +267,7 @@ def solve_reach(chain: KinematicChain, target_pos, theta_target: float,
     ])
     for _ in range(iters):
         fk = forward_kinematics(chain, q)
-        jac = jacobians(chain, q)
+        jac = jacobians(chain, fk)
         a = fk.container[:3, 2]
         err_pos = target_pos - fk.container[:3, 3]
         err_axis = a_target - a

@@ -10,6 +10,7 @@ from pourplan import fileio as io
 from pourplan import fluid as F
 from pourplan import geometry as G
 from pourplan import oracle as O
+from pourplan import planner as PL
 from pourplan import presets as PR
 
 
@@ -101,6 +102,76 @@ class TestPredict:
                        "--vol0", "1e-4", "--out", str(out)])
         assert rc == 1
         assert not out.exists()
+
+    def test_decreasing_times_refused(self, workdir, tmp_path, capsys,
+                                      cylinder_tables):
+        # a trajectory CSV running backwards in time would be integrated
+        # with a negative step and gain volume
+        traj = tmp_path / "backwards.csv"
+        rows = [",".join(io.trajectory_header(1))]
+        for k in range(5):
+            rows.append(",".join(str(v) for v in (
+                -0.1 * k, 0.0, math.radians(100 + 5 * k), 0.0, 0.0, 0.0,
+                "nan", "nan", "nan")))
+        traj.write_text("\n".join(rows) + "\n")
+        coeffs_path = tmp_path / "c.json"
+        io.write_coeffs(coeffs_path, F.OutflowCoeffs(a=1.0, d=1.0),
+                        cylinder_tables.container_id)
+        out = tmp_path / "pred.csv"
+        rc = cli.main(["predict", "--trajectory", str(traj),
+                       "--coeffs", str(coeffs_path),
+                       "--tables", str(workdir / "tables.npz"),
+                       "--vol0", "1e-4", "--out", str(out)])
+        assert rc == 1
+        assert not out.exists()
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["stage"] == "predict"
+        assert "increasing" in err["error"]
+
+
+class TestPlan:
+    def test_landing_columns_match_objective(self, workdir, tmp_path,
+                                             cylinder_tables):
+        # land_x/y/z are o_t plus the landing residual the planner's
+        # transfer objective weighs by the outflow area
+        prob = PR.block_benchmark(cylinder_tables,
+                                  PR.reference_coeffs("cylinder"), n=16,
+                                  tau=6.0)
+        io.write_robot(tmp_path / "robot.json", prob.chain)
+        io.write_world(tmp_path / "world.json", prob.world)
+        io.write_coeffs(tmp_path / "coeffs.json", prob.coeffs,
+                        cylinder_tables.container_id)
+        io.write_problem(tmp_path / "problem.json", prob, "robot.json",
+                         "world.json", str(workdir / "tables.npz"),
+                         "coeffs.json")
+        (tmp_path / "settings.json").write_text(
+            json.dumps({"max_outer": 2, "max_inner": 3}))
+        out = tmp_path / "traj.csv"
+        assert cli.main(["plan", "--problem", str(tmp_path / "problem.json"),
+                         "--settings", str(tmp_path / "settings.json"),
+                         "--out", str(out)]) == 0
+        report = json.loads((tmp_path / "traj.report.json").read_text())
+        data = io.read_trajectory(out)
+        cols = np.genfromtxt(out, delimiter=",", names=True)
+        land = np.column_stack([cols["land_x_m"], cols["land_y_m"],
+                                cols["land_z_m"]])
+
+        kin = PL.kinematics_along(prob.chain, data["Q"])
+        fluid = F.rollout(prob.fluid0, data["theta"], prob.dt,
+                          cylinder_tables, prob.coeffs)
+        assert fluid.vol == pytest.approx(data["vol"], rel=1e-12, abs=1e-18)
+        residual = PL.landing_along(prob, kin, fluid).point - prob.world.o_t
+        assert np.array_equal(np.isnan(land), np.isnan(residual))
+        hit = ~np.isnan(land[:, 0])
+        assert land[hit] == pytest.approx(prob.world.o_t + residual[hit],
+                                          rel=1e-12, abs=1e-15)
+
+        A = cylinder_tables.interp_many(data["theta"], data["vol"])["A"]
+        pouring = hit & (A > 0)
+        assert pouring.sum() >= 3
+        miss2 = ((land[pouring] - prob.world.o_t) ** 2).sum(axis=1)
+        transfer = prob.weights[0] * float(A[pouring] @ miss2)
+        assert report["cost_transfer"] == pytest.approx(transfer, rel=1e-9)
 
 
 class TestTables:

@@ -29,9 +29,9 @@ class TestOutflowSpeed:
 
     def test_pure_head_term_matches_bernoulli(self, cylinder_tables):
         theta, vol = math.radians(110), 0.3 * cylinder_tables.v_max
-        s = G.lookup(cylinder_tables, theta, vol)
+        dh = cylinder_tables.interp_many(theta, vol)["dh"][0]
         v = F.outflow_speed(F.OutflowCoeffs(a=1.0), theta, vol, cylinder_tables)
-        assert v == pytest.approx(F.bernoulli_speed(s.dh), rel=1e-12)
+        assert v == pytest.approx(F.bernoulli_speed(dh), rel=1e-12)
 
     def test_slide_terms_dead_below_horizontal(self, cylinder_tables):
         theta = math.radians(60)
@@ -47,34 +47,37 @@ class TestOutflowSpeed:
 
 
 class TestStep:
+    """One forward-Euler step: a two-sample rollout."""
+
+    @staticmethod
+    def step(vol, theta_next, dt, tables, coeffs):
+        traj = F.rollout(F.FluidState(vol=vol), [0.0, theta_next], dt, tables,
+                         coeffs)
+        return traj.vol[1], traj.v_out[1]
+
     def test_no_outflow_section_keeps_volume(self, cylinder_tables):
-        state = F.FluidState(vol=0.3 * cylinder_tables.v_max)
-        out = F.step(state, math.radians(10), 0.05, cylinder_tables,
-                     F.OutflowCoeffs(a=1.0, d=1.0))
-        assert out.vol == state.vol
+        vol0 = 0.3 * cylinder_tables.v_max
+        vol, _ = self.step(vol0, math.radians(10), 0.05, cylinder_tables,
+                           F.OutflowCoeffs(a=1.0, d=1.0))
+        assert vol == vol0
 
     def test_forward_euler_arithmetic(self, synthetic_tables):
-        # A = 2e-4 at (theta=0.1, vol=1e-5); force v = 0.5 via pure slide term
+        # A = 2e-4 at (theta=0.1, vol=1e-5); force v = 0.5 via the head term
         tab = synthetic_tables
-        state = F.FluidState(vol=1.0e-5)
-        # choose coefficients so the predicted speed is exactly 0.5
-        s = G.lookup(tab, 0.1, 1.0e-5)
-        b = F.bernoulli_speed(s.dh)
-        coeffs = F.OutflowCoeffs(a=0.5 / b)
-        out = F.step(state, 0.1, 0.01, tab, coeffs)
-        assert out.v_out == pytest.approx(0.5, rel=1e-12)
-        assert out.vol == pytest.approx(1.0e-5 - 2.0e-4 * 0.5 * 0.01, rel=1e-12)
+        dh = tab.interp_many(0.1, 1.0e-5)["dh"][0]
+        coeffs = F.OutflowCoeffs(a=0.5 / F.bernoulli_speed(dh))
+        vol, v_out = self.step(1.0e-5, 0.1, 0.01, tab, coeffs)
+        assert v_out == pytest.approx(0.5, rel=1e-12)
+        assert vol == pytest.approx(1.0e-5 - 2.0e-4 * 0.5 * 0.01, rel=1e-12)
 
     def test_clamp_at_empty(self, synthetic_tables):
-        state = F.FluidState(vol=1e-8)
-        out = F.step(state, 0.3, 10.0, synthetic_tables,
-                     F.OutflowCoeffs(a=5.0))
-        assert out.vol == 0.0
+        vol, _ = self.step(1e-8, 0.3, 10.0, synthetic_tables,
+                           F.OutflowCoeffs(a=5.0))
+        assert vol == 0.0
 
     def test_dt_positive(self, synthetic_tables):
         with pytest.raises(ValueError):
-            F.step(F.FluidState(vol=1e-5), 0.1, 0.0, synthetic_tables,
-                   F.OutflowCoeffs())
+            self.step(1e-5, 0.1, 0.0, synthetic_tables, F.OutflowCoeffs())
 
 
 class TestRollout:
@@ -187,63 +190,101 @@ class TestFit:
         assert fit.rmse <= zero_rmse + 1e-12
 
 
+def land(tables, theta, phi=0.0, pos=(0.0, 0.0, 0.0), vol=1e-4, speed=1.0,
+         o_t=(0.0, 0.0, 0.0), jacobians=False):
+    return F.flight_landing(tables, [theta], [phi], [pos], [vol], [speed],
+                            np.asarray(o_t, dtype=float), jacobians)
+
+
+@pytest.fixture(scope="module")
+def point_tables():
+    """Tables over [0, pi] whose outflow centroid sits at the container
+    origin, so the parabola starts at the given position."""
+    z = np.zeros((2, 2))
+    return G.GeomTables(container_id="point", theta=np.array([0.0, math.pi]),
+                        vol_levels=np.array([0.0, 1e-3]), A=z, dh=z, ex=z,
+                        ez=z, grid_cell=1e-3, theta_step=math.pi,
+                        lip_local=np.zeros(2))
+
+
 class TestFlightCurve:
-    def test_zero_azimuth_identity(self):
-        assert np.allclose(F.azimuth_rotation(0.0), np.eye(3))
+    def test_zero_azimuth_identity(self, cylinder_tables):
+        theta = math.radians(120)
+        lnd = land(cylinder_tables, theta)
+        q = cylinder_tables.interp_many(theta, 1e-4)
+        assert np.allclose(lnd.velocity[0],
+                           [math.sin(theta), 0.0, math.cos(theta)])
+        assert np.allclose(lnd.origin[0], [q["ex"][0], 0.0, q["ez"][0]])
 
     def test_below_horizontal_is_horizontal(self, cylinder_tables):
-        lean = F.LeanAzimuth(theta=math.radians(60), phi=0.0)
-        c = F.flight_curve(F.FluidState(vol=1e-4, v_out=1.0), lean,
-                           np.zeros(3), cylinder_tables)
-        assert c.v_out == pytest.approx([1.0, 0.0, 0.0])
+        lnd = land(cylinder_tables, math.radians(60))
+        assert lnd.velocity[0] == pytest.approx([1.0, 0.0, 0.0])
 
     def test_past_horizontal_direction(self, cylinder_tables):
-        lean = F.LeanAzimuth(theta=math.radians(120), phi=0.0)
-        c = F.flight_curve(F.FluidState(vol=1e-4, v_out=1.0), lean,
-                           np.zeros(3), cylinder_tables)
-        assert c.v_out == pytest.approx([0.8660254, 0.0, -0.5], abs=1e-6)
+        lnd = land(cylinder_tables, math.radians(120))
+        assert lnd.velocity[0] == pytest.approx([0.8660254, 0.0, -0.5],
+                                                abs=1e-6)
 
     def test_azimuth_rotates_direction(self, cylinder_tables):
-        lean = F.LeanAzimuth(theta=math.radians(120), phi=math.pi / 2)
-        c = F.flight_curve(F.FluidState(vol=1e-4, v_out=1.0), lean,
-                           np.zeros(3), cylinder_tables)
-        assert c.v_out == pytest.approx([0.0, 0.8660254, -0.5], abs=1e-6)
+        lnd = land(cylinder_tables, math.radians(120), phi=math.pi / 2)
+        assert lnd.velocity[0] == pytest.approx([0.0, 0.8660254, -0.5],
+                                                abs=1e-6)
 
     def test_speed_preserved(self, cylinder_tables):
-        lean = F.LeanAzimuth(theta=math.radians(100), phi=0.7)
-        c = F.flight_curve(F.FluidState(vol=1e-4, v_out=0.37), lean,
-                           np.array([0.1, 0.2, 0.3]), cylinder_tables)
-        assert np.linalg.norm(c.v_out) == pytest.approx(0.37, rel=1e-12)
+        lnd = land(cylinder_tables, math.radians(100), phi=0.7,
+                   pos=(0.1, 0.2, 0.3), speed=0.37)
+        assert np.linalg.norm(lnd.velocity[0]) == pytest.approx(0.37,
+                                                                rel=1e-12)
 
-    @given(v=st.floats(0.0, 3.0), t=st.floats(0.0, 2.0))
-    def test_horizontal_velocity_constant(self, v, t):
-        curve = F.QuadraticCurve(gravity=np.array([0.0, 0.0, -GRAV]),
-                                 v_out=np.array([v, 0.3 * v, -0.1]),
-                                 origin=np.zeros(3))
-        vel = curve.velocity(t)
-        assert vel[0] == curve.v_out[0]
-        assert vel[1] == curve.v_out[1]
-        assert vel[2] == pytest.approx(curve.v_out[2] - GRAV * t, rel=1e-12)
+    @given(v=st.floats(0.0, 3.0), drop=st.floats(0.0, 2.0))
+    def test_horizontal_velocity_constant(self, point_tables, v, drop):
+        lnd = land(point_tables, math.radians(100), phi=0.3,
+                   pos=(0.1, -0.2, 0.5), speed=v, o_t=(0.0, 0.0, 0.5 - drop))
+        t, V, E, C = lnd.t[0], lnd.velocity[0], lnd.origin[0], lnd.point[0]
+        assert C[0] == pytest.approx(E[0] + V[0] * t, rel=1e-12, abs=1e-15)
+        assert C[1] == pytest.approx(E[1] + V[1] * t, rel=1e-12, abs=1e-15)
+        assert C[2] == pytest.approx(E[2] + V[2] * t - 0.5 * GRAV * t * t,
+                                     rel=1e-12, abs=1e-12)
+        assert C[2] == pytest.approx(0.5 - drop, abs=1e-12)
+
+    def test_jacobians_match_finite_differences(self, cylinder_tables):
+        args = dict(phi=0.4, pos=np.array([0.1, 0.2, 0.5]), vol=1e-4,
+                    speed=0.8, o_t=(0.3, 0.0, 0.1))
+        h = 1e-7
+        for theta in (math.radians(75), math.radians(101), math.radians(131)):
+            lnd = land(cylinder_tables, theta, jacobians=True, **args)
+
+            def at(**kw):
+                return land(cylinder_tables, kw.pop("theta", theta),
+                            **{**args, **kw}).point[0]
+
+            fd_theta = (at(theta=theta + h) - at(theta=theta - h)) / (2 * h)
+            phi = args["phi"]
+            fd_phi = (at(phi=phi + h) - at(phi=phi - h)) / (2 * h)
+            fd_pos = np.column_stack([
+                (at(pos=args["pos"] + h * e) - at(pos=args["pos"] - h * e))
+                / (2 * h) for e in np.eye(3)])
+            for got, fd in ((lnd.d_theta[0], fd_theta), (lnd.d_phi[0], fd_phi),
+                            (lnd.d_pos[0], fd_pos)):
+                assert got == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
 
 class TestTimeToAltitude:
-    def curve(self, origin, v):
-        return F.QuadraticCurve(gravity=np.array([0.0, 0.0, -GRAV]),
-                                v_out=np.asarray(v, dtype=float),
-                                origin=np.asarray(origin, dtype=float))
-
-    def test_free_fall(self):
-        t = F.time_to_altitude(self.curve([0, 0, 0.2], [0.5, 0, 0]),
-                               [1.0, 0.0, 0.0])
+    def test_free_fall(self, point_tables):
+        t = land(point_tables, 0.5, pos=(0, 0, 0.2), speed=0.5,
+                 o_t=(1.0, 0.0, 0.0)).t[0]
         assert t == pytest.approx(math.sqrt(2 * 0.2 / GRAV), rel=1e-9)
         assert t == pytest.approx(0.2019, abs=2e-4)
 
-    def test_same_altitude_root_zero(self):
-        t = F.time_to_altitude(self.curve([0, 0, 0.5], [1, 0, 0]),
-                               [2.0, 0.0, 0.5])
+    def test_same_altitude_root_zero(self, point_tables):
+        t = land(point_tables, 0.5, pos=(0, 0, 0.5), speed=1.0,
+                 o_t=(2.0, 0.0, 0.5)).t[0]
         assert t == 0.0
 
-    def test_below_and_descending_none(self):
-        t = F.time_to_altitude(self.curve([0, 0, 0.4], [0, 0, -1.0]),
-                               [0.0, 0.0, 0.5])
-        assert t is None
+    def test_below_and_descending_none(self, point_tables):
+        # leaning fully over, the outflow points straight down
+        lnd = land(point_tables, math.pi, pos=(0, 0, 0.4), speed=1.0,
+                   o_t=(0.0, 0.0, 0.5))
+        assert lnd.velocity[0][2] == pytest.approx(-1.0)
+        assert np.isnan(lnd.t[0])
+        assert np.all(np.isnan(lnd.point[0]))

@@ -26,6 +26,11 @@ def disc_area_oracle(r_lip, x_min, n=4000):
     return covered.sum() * cell
 
 
+def query(tables, theta, vol):
+    """One interp_many sample as scalars."""
+    return {k: float(v[0]) for k, v in tables.interp_many(theta, vol).items()}
+
+
 class TestLoadProfile:
     def test_rectangle_valid(self):
         prof = G.load_profile(cyl_spec())
@@ -64,36 +69,36 @@ class TestLoadProfile:
 
 class TestBuildTables:
     def test_below_brim_no_outflow(self, cylinder_tables):
-        s = G.lookup(cylinder_tables, 0.0, 0.5 * cylinder_tables.v_max)
-        assert s.A == 0.0
-        assert s.dh == 0.0
+        s = query(cylinder_tables, 0.0, 0.5 * cylinder_tables.v_max)
+        assert s["A"] == 0.0
+        assert s["dh"] == 0.0
 
     def test_full_brim_matches_opening_disc(self, cylinder_tables):
         # fine-raster oracle of the fully covered opening disc
         oracle = disc_area_oracle(R, -R)
-        s = G.lookup(cylinder_tables, 0.0, cylinder_tables.v_max)
-        assert s.A == pytest.approx(oracle, abs=2 * (1e-3) ** 2)
-        assert s.A == pytest.approx(math.pi * R * R, rel=1e-6)
+        s = query(cylinder_tables, 0.0, cylinder_tables.v_max)
+        assert s["A"] == pytest.approx(oracle, abs=2 * (1e-3) ** 2)
+        assert s["A"] == pytest.approx(math.pi * R * R, rel=1e-6)
 
     def test_tilted_past_vertical_outflow_positive(self, cylinder_tables):
         vol = 0.05 * cylinder_tables.v_max
-        s = G.lookup(cylinder_tables, math.radians(120), vol)
+        s = query(cylinder_tables, math.radians(120), vol)
         # oracle: any liquid at 120 degrees touches the opening plane
         theta = math.radians(120)
         z_lip_w = -R * math.sin(theta) + H * math.cos(theta)
         level = G.fill_level(PR.cylinder_profile(), vol, theta=theta)
         x_min = (H * math.cos(theta) - level) / math.sin(theta)
         assert disc_area_oracle(R, x_min) > 0
-        assert s.A > 0
-        assert s.dh == pytest.approx(level - z_lip_w, abs=2e-3)
+        assert s["A"] > 0
+        assert s["dh"] == pytest.approx(level - z_lip_w, abs=2e-3)
 
     def test_segment_area_matches_raster_oracle(self, cylinder_tables):
         theta = math.radians(110)
         vol = 0.3 * cylinder_tables.v_max
         level = G.fill_level(PR.cylinder_profile(), vol, theta=theta)
         x_min = (H * math.cos(theta) - level) / math.sin(theta)
-        s = G.lookup(cylinder_tables, theta, vol)
-        assert s.A == pytest.approx(disc_area_oracle(R, x_min), rel=0.02)
+        s = query(cylinder_tables, theta, vol)
+        assert s["A"] == pytest.approx(disc_area_oracle(R, x_min), rel=0.02)
 
     def test_grid_too_coarse(self, cylinder_profile):
         with pytest.raises(G.TableBuildError, match="coarse"):
@@ -137,17 +142,17 @@ class TestLookup:
     def test_exact_at_sample_points(self, cylinder_tables):
         tab = cylinder_tables
         i, j = 37, 80
-        s = G.lookup(tab, float(tab.theta[i]), float(tab.vol_levels[j]))
-        assert s.A == pytest.approx(tab.A[i, j], abs=1e-18)
-        assert s.dh == pytest.approx(tab.dh[i, j], abs=1e-18)
+        s = query(tab, float(tab.theta[i]), float(tab.vol_levels[j]))
+        assert s["A"] == pytest.approx(tab.A[i, j], abs=1e-18)
+        assert s["dh"] == pytest.approx(tab.dh[i, j], abs=1e-18)
 
     def test_bilinear_midpoint(self, synthetic_tables):
         tab = synthetic_tables
-        s = G.lookup(tab, 0.05, 1.5e-5)
+        s = query(tab, 0.05, 1.5e-5)
         # midpoint of grid values (1, 2, 2, 3)e-4
-        assert s.A == pytest.approx(2.0e-4)
-        s = G.lookup(tab, 0.15, 1.5e-5)
-        assert s.A == pytest.approx(3.0e-4)
+        assert s["A"] == pytest.approx(2.0e-4)
+        s = query(tab, 0.15, 1.5e-5)
+        assert s["A"] == pytest.approx(3.0e-4)
 
     def test_quad_average(self, synthetic_tables):
         # four nodes (1,2,3,4)e-4 sit at theta 0..0.1, vol 1e-5..2e-5 region
@@ -158,32 +163,49 @@ class TestLookup:
 
     def test_empty_container(self, cylinder_tables):
         for th in (0.0, 1.0, 2.0):
-            s = G.lookup(cylinder_tables, th, 0.0)
-            assert s.A == 0.0 and s.dh == 0.0
+            s = query(cylinder_tables, th, 0.0)
+            assert s["A"] == 0.0 and s["dh"] == 0.0
 
     def test_overfull_clamps(self, cylinder_tables):
-        top = G.lookup(cylinder_tables, 0.5, cylinder_tables.v_max)
-        over = G.lookup(cylinder_tables, 0.5, 2.0 * cylinder_tables.v_max)
-        assert over.A == pytest.approx(top.A)
+        top = query(cylinder_tables, 0.5, cylinder_tables.v_max)
+        over = query(cylinder_tables, 0.5, 2.0 * cylinder_tables.v_max)
+        assert over["A"] == pytest.approx(top["A"])
 
     def test_theta_range_checked(self, cylinder_tables):
         with pytest.raises(ValueError, match="angle"):
-            G.lookup(cylinder_tables, -0.2, 1e-5)
+            cylinder_tables.interp_many(-0.2, 1e-5)
         with pytest.raises(ValueError, match="angle"):
-            G.lookup(cylinder_tables, math.pi + 0.2, 1e-5)
+            cylinder_tables.interp_many(math.pi + 0.2, 1e-5)
 
     def test_negative_volume_rejected(self, cylinder_tables):
         with pytest.raises(ValueError):
-            G.lookup(cylinder_tables, 0.5, -1e-9)
+            cylinder_tables.interp_many(0.5, -1e-9)
 
     def test_partials_are_finite(self, cylinder_tables):
+        # inside a cell the interpolant is linear along each axis, so its
+        # slope equals the difference quotient across the cell interior
+        tab = cylinder_tables
         rng = np.random.default_rng(0)
         for _ in range(50):
-            th = rng.uniform(0, math.pi)
-            vol = rng.uniform(0, cylinder_tables.v_max)
-            s = G.lookup(cylinder_tables, th, vol)
-            for v in (s.dA_dtheta, s.dA_dvol, s.ddh_dtheta, s.ddh_dvol):
-                assert np.isfinite(v)
+            i = rng.integers(len(tab.theta) - 1)
+            j = rng.integers(len(tab.vol_levels) - 1)
+            t0, t1 = tab.theta[i], tab.theta[i + 1]
+            v0, v1 = tab.vol_levels[j], tab.vol_levels[j + 1]
+            th = rng.uniform(t0 + 0.25 * (t1 - t0), t0 + 0.75 * (t1 - t0))
+            vol = rng.uniform(v0 + 0.25 * (v1 - v0), v0 + 0.75 * (v1 - v0))
+            s = query(tab, th, vol)
+            dt, dv = 0.2 * (t1 - t0), 0.2 * (v1 - v0)
+            for name in ("A", "dh", "ex", "ez"):
+                for key, lo, hi, step in (
+                        ("_dtheta", query(tab, th - dt, vol),
+                         query(tab, th + dt, vol), dt),
+                        ("_dvol", query(tab, th, vol - dv),
+                         query(tab, th, vol + dv), dv)):
+                    slope = s["d" + name + key]
+                    assert np.isfinite(slope)
+                    fd = (hi[name] - lo[name]) / (2 * step)
+                    scale = np.abs(getattr(tab, name)).max() / step
+                    assert abs(slope - fd) <= 1e-9 * scale
 
     @given(th=st.floats(0.0, math.pi), volfrac=st.floats(0.0, 1.0),
            dth_u=st.floats(-1.0, 1.0), dv_u=st.floats(-1.0, 1.0))

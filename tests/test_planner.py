@@ -148,7 +148,7 @@ class TestCollisionPenalty:
             dq0 = np.zeros(n * dof)
 
             def value_at(dq):
-                return model.merit(dq, n, dof)
+                return model.merit(dq)
 
             h = 1e-7
             worst = 0.0
@@ -159,6 +159,57 @@ class TestCollisionPenalty:
                 fd = (value_at(dp) - value_at(dm)) / (2 * h)
                 worst = max(worst, abs(fd - model.grad[j]) / max(1.0, abs(fd)))
             assert worst <= 1e-4, mode
+
+    def test_qp_terms_equal_merit_at_anchor(self):
+        # with no damping and its own slacks, the QP model of the penalty
+        # at the anchor must equal the merit there, row constraints held
+        rng = np.random.default_rng(7)
+        n, dof = 6, 3
+        for trial in range(20):
+            m = int(rng.integers(1, 9))
+            contacts = [
+                LinearContact(timestep=int(rng.integers(n)),
+                              sd=float(rng.uniform(-0.05, 0.05)),
+                              grad=rng.normal(size=dof), key=(j, "a", "b"))
+                for j in range(m)]
+            q_anchor = rng.normal(size=n * dof)
+            for mode, params in (("l1", {"eta": 7.0}),
+                                 ("al", {"mu": 40.0,
+                                         "lambdas": rng.uniform(0, 4, m)})):
+                model = collision_penalty(contacts, mode, params, n, dof)
+                qp = model.qp_terms(q_anchor, damping=0.0)
+                x = np.concatenate([q_anchor, qp.slacks])
+                value = 0.5 * x @ qp.H @ x + qp.g @ x + qp.const
+                assert value == pytest.approx(model.merit(np.zeros(n * dof)),
+                                              rel=1e-9, abs=1e-12), mode
+                assert np.all(qp.slacks >= 0.0)
+                assert np.all(qp.A @ x >= qp.b - 1e-12), mode
+
+    def test_qp_slacks_minimize_the_terms(self):
+        # at the anchor no other nonnegative slack gives a lower QP value
+        rng = np.random.default_rng(8)
+        n, dof, m = 4, 2, 5
+        contacts = [LinearContact(timestep=int(rng.integers(n)),
+                                  sd=float(rng.uniform(-0.05, 0.05)),
+                                  grad=rng.normal(size=dof), key=(j, "a", "b"))
+                    for j in range(m)]
+        q_anchor = rng.normal(size=n * dof)
+        for mode, params in (("l1", {"eta": 3.0}),
+                             ("al", {"mu": 25.0,
+                                     "lambdas": rng.uniform(0, 2, m)})):
+            model = collision_penalty(contacts, mode, params, n, dof)
+            qp = model.qp_terms(q_anchor)
+
+            def value(t):
+                x = np.concatenate([q_anchor, t])
+                return 0.5 * x @ qp.H @ x + qp.g @ x
+
+            best = value(qp.slacks)
+            for _ in range(200):
+                t = np.maximum(0.0, qp.slacks + rng.normal(scale=0.02, size=m))
+                x = np.concatenate([q_anchor, t])
+                if np.all(qp.A @ x >= qp.b - 1e-12):
+                    assert value(t) >= best - 1e-12, mode
 
 
 class TestPlan:

@@ -75,7 +75,7 @@ class TestJacobians:
         worst = 0.0
         for _ in range(100):
             q = rng.uniform(0.9 * arm.lower, 0.9 * arm.upper)
-            jac = R.jacobians(arm, q)
+            jac = R.jacobians(arm, R.forward_kinematics(arm, q))
             if jac.degenerate:
                 continue
             for k in range(arm.dof):
@@ -105,12 +105,12 @@ class TestJacobians:
                     R.Joint("revolute", (0, 1, 0), R.transform((0.3, 0, 0)),
                             -2.0, 2.0, 1.0)])
         fk = R.forward_kinematics(chain, np.array([0.2, 0.4]))
-        jac = R.jacobians(chain, np.array([0.2, 0.4]))
+        jac = R.jacobians(chain, fk)
         assert jac.J_ee[:3, 0] == pytest.approx(fk.joint_axes[0])
         assert jac.J_ee[3:, 0] == pytest.approx([0.0, 0.0, 0.0])
 
     def test_vertical_axis_flags_degenerate(self, arm):
-        jac = R.jacobians(arm, np.zeros(arm.dof))
+        jac = R.jacobians(arm, R.forward_kinematics(arm, np.zeros(arm.dof)))
         assert jac.degenerate
         assert np.all(jac.dphi_dq == 0.0)
 
